@@ -1,12 +1,15 @@
 package resilientos
 
-// Hot-path micro-benchmarks: the four inner loops BENCH_simspeed.json
-// attributes cost to, each isolated to one operation so a regression in
-// simulator speed can be localized without re-running the full battery.
-// Run with -benchmem (ReportAllocs is on): allocs/op on these paths is
-// the first thing to check when simspeed's allocs/event moves.
+// Hot-path micro-benchmarks: the four inner loops the internal/perf
+// regions attribute cost to, each isolated to one operation so a
+// regression in simulator speed can be localized without re-running a
+// whole perfbench workload. Run with -benchmem (ReportAllocs is on):
+// allocs/op on these paths is the first thing to check when perfbench's
+// sim.allocs_per_event moves. Add -cpuprofile for a pprof profile of
+// one path.
 //
-//	go test -bench=Hotpath -benchmem
+//	go test -run '^$' -bench=Hotpath -benchmem
+//	go test -run '^$' -bench=HotpathIPC -cpuprofile cpu.pprof
 //
 // These measure the simulator's wall-clock cost, not virtual-time
 // results — the workloads are deterministic, the ns/op numbers are not.
@@ -67,7 +70,7 @@ func BenchmarkHotpathIPCRendezvous(b *testing.B) {
 
 // BenchmarkHotpathTraceAppend measures one trace-event emit through the
 // recorder into a ring sink — stamp, mask check, fan-out, ring write —
-// the per-event cost the obs region of simspeed attributes.
+// the per-event cost perfbench's obs_self_ms attributes.
 func BenchmarkHotpathTraceAppend(b *testing.B) {
 	ring := obs.NewRingSink(4096)
 	rec := obs.NewRecorder(ring)

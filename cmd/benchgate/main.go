@@ -1,20 +1,14 @@
 // Command benchgate maintains the bench trajectory and gates on it: it
 // appends the current baseline documents (BENCH_throughput.json,
-// BENCH_campaign.json, BENCH_fig*.json, BENCH_simspeed.json) from -dir
-// to BENCH_history.jsonl and diffs the newest entry against the
-// previous one with direction-aware per-metric thresholds (warn past
-// -warn %, fail past -fail % movement in the bad direction — throughput
-// drops, recovery-latency p95 growth, recovery-rate drops).
-//
-// Direction handling is per metric, not per document, and the simspeed
-// schema mixes all three gating classes in one file: its deterministic
-// counts (scenario events, region entry counts) are exact — any drift
-// at all fails, regardless of the thresholds, because the same code at
-// the same seed must execute the same events; its wall-clock metrics
-// (events/sec higher-better, ns/event and allocs/event lower-better)
-// are noisy — they warn past the threshold but never fail a build on
-// shared-runner jitter. -warn-only still downgrades everything,
-// including exact failures, to the explicit override.
+// BENCH_campaign.json, BENCH_fig*.json, BENCH_fleet.json,
+// BENCH_decisions.json, BENCH_recovery.json) from -dir to
+// BENCH_history.jsonl and diffs the newest entry against the previous
+// one with direction-aware per-metric thresholds (warn past -warn %,
+// fail past -fail % movement in the bad direction — throughput drops,
+// recovery-latency p95 growth, availability and recovery-rate drops).
+// Direction is per metric, not per document: a fleet's availability is
+// higher-better while its request p99 is lower-better, and movement in
+// the good direction never trips the gate.
 //
 //	benchgate -append -label $GITHUB_SHA      # record + gate
 //	benchgate                                  # gate only, newest vs previous

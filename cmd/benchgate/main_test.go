@@ -20,72 +20,55 @@ func TestHelp(t *testing.T) {
 	}
 }
 
-// simspeedEntry builds a history entry holding only a simspeed
-// document, tweaked by mutate.
-func simspeedEntry(label string, mutate func(*bench.Simspeed)) compare.Entry {
-	doc := &bench.Simspeed{
-		Schema: bench.SchemaSimspeed, Seed: 1,
-		Scenarios: []bench.SimspeedScenario{{
-			Name: "fig7", Events: 110240, BareEvents: 66000, ObsEvents: 58215,
-			EventsPerSec: 177000, NsPerEvent: 5600, AllocsPerEvent: 8.2,
-			OverheadPct: 115,
-			Regions: []bench.SimspeedRegion{
-				{Region: "step", Count: 110240, NsPerEntry: 2212},
-			},
-		}},
+// fleetEntry builds a history entry holding only a fleet document,
+// tweaked by mutate.
+func fleetEntry(label string, mutate func(*bench.Fleet)) compare.Entry {
+	doc := &bench.Fleet{
+		Schema: bench.SchemaFleet, Nodes: 4, Seed: 11,
+		Policy:          "failure-aware",
+		Storm:           "correlated:eth.rtl8139,k=2,every=1s,mode=kill",
+		AvailabilityPct: 97.92, NodeAvailabilityPct: 100, RecoveredPct: 100,
+		Latency:            bench.LatencyMs{Count: 500, P50Ms: 4.5, P99Ms: 13.47},
+		MaxRecoveryOverlap: 2,
 	}
 	if mutate != nil {
 		mutate(doc)
 	}
-	return compare.Entry{Label: label, Simspeed: doc}
+	return compare.Entry{Label: label, Fleet: doc}
 }
 
-// The simspeed schema end to end through the gate binary: deterministic
-// event-count drift hard-fails (exit 1) below any percent threshold,
-// wall-clock swings only warn (exit 0), and -warn-only overrides even
-// the exact class.
-func TestSimspeedDirectionAndClassHandling(t *testing.T) {
-	gate := func(t *testing.T, mutate func(*bench.Simspeed), extra ...string) int {
+// The fleet schema end to end through the gate binary: identical
+// entries pass (exit 0), an 11% availability drop fails (exit 1),
+// -warn-only overrides the failure (exit 0), and an improvement in
+// both directions — availability up, p99 down — passes (exit 0).
+func TestFleetAvailabilityDropExitCodes(t *testing.T) {
+	gate := func(t *testing.T, mutate func(*bench.Fleet), extra ...string) int {
 		t.Helper()
 		hist := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
-		if err := compare.AppendHistory(hist, simspeedEntry("old", nil)); err != nil {
+		if err := compare.AppendHistory(hist, fleetEntry("old", nil)); err != nil {
 			t.Fatal(err)
 		}
-		if err := compare.AppendHistory(hist, simspeedEntry("new", mutate)); err != nil {
+		if err := compare.AppendHistory(hist, fleetEntry("new", mutate)); err != nil {
 			t.Fatal(err)
 		}
 		code, _ := run(append([]string{"-history", hist}, extra...))
 		return code
 	}
+	drop := func(d *bench.Fleet) { d.AvailabilityPct *= 0.89 }
 
 	if code := gate(t, nil); code != 0 {
 		t.Fatalf("identical entries: exit %d, want 0", code)
 	}
-	// +1 event: ~0.001%, far below -fail 10 — exact class fails anyway.
-	if code := gate(t, func(d *bench.Simspeed) { d.Scenarios[0].Events++ }); code != 1 {
-		t.Fatalf("event-count drift: exit %d, want 1", code)
+	if code := gate(t, drop); code != 1 {
+		t.Fatalf("11%% availability drop: exit %d, want 1", code)
 	}
-	if code := gate(t, func(d *bench.Simspeed) { d.Scenarios[0].Regions[0].Count-- }); code != 1 {
-		t.Fatalf("region-count drift: exit %d, want 1", code)
+	if code := gate(t, drop, "-warn-only"); code != 0 {
+		t.Fatalf("-warn-only did not override the failure: exit %d, want 0", code)
 	}
-	// Wall-clock collapse in the bad direction for every metric —
-	// noisy class caps at WARN, so the gate passes.
-	if code := gate(t, func(d *bench.Simspeed) {
-		d.Scenarios[0].EventsPerSec /= 2 // higher-better, halved
-		d.Scenarios[0].NsPerEvent *= 2   // lower-better, doubled
-		d.Scenarios[0].AllocsPerEvent *= 2
-		d.Scenarios[0].OverheadPct *= 2
+	if code := gate(t, func(d *bench.Fleet) {
+		d.AvailabilityPct = 100 // higher-better, up
+		d.Latency.P99Ms /= 2    // lower-better, down
 	}); code != 0 {
-		t.Fatalf("wall-clock collapse: exit %d, want 0 (warn-only class)", code)
-	}
-	// A wall-clock IMPROVEMENT must pass too (direction-aware).
-	if code := gate(t, func(d *bench.Simspeed) {
-		d.Scenarios[0].EventsPerSec *= 2
-		d.Scenarios[0].NsPerEvent /= 2
-	}); code != 0 {
-		t.Fatalf("wall-clock improvement: exit %d, want 0", code)
-	}
-	if code := gate(t, func(d *bench.Simspeed) { d.Scenarios[0].Events++ }, "-warn-only"); code != 0 {
-		t.Fatalf("-warn-only did not override exact failure: exit %d, want 0", code)
+		t.Fatalf("improvement: exit %d, want 0", code)
 	}
 }

@@ -1,7 +1,10 @@
 // Package bench defines the machine-readable performance baselines the
-// benchmark commands emit (BENCH_throughput.json, BENCH_campaign.json).
-// The schemas are documented in EXPERIMENTS.md; CI uploads the files as
-// artifacts so regressions are diffable across commits. Virtual-time
+// benchmark commands emit: BENCH_throughput.json (cmd/throughput),
+// BENCH_campaign.json (cmd/faultbench), BENCH_fig7/8.json and
+// BENCH_recovery.json (cmd/figures), BENCH_fleet.json (cmd/fleetbench)
+// and BENCH_decisions.json (cmd/whatif). The schemas are documented in
+// EXPERIMENTS.md; CI uploads the files as artifacts and cmd/benchgate
+// trends them, so regressions are diffable across commits. Virtual-time
 // numbers are deterministic for a fixed seed+workload; wall-clock fields
 // describe the run machine and are expected to vary.
 package bench
@@ -22,7 +25,6 @@ const (
 	SchemaFleet      = "resilientos/bench/fleet/v1"
 	SchemaDecisions  = "resilientos/bench/decisions/v1"
 	SchemaRecovery   = "resilientos/bench/recovery/v1"
-	SchemaSimspeed   = "resilientos/bench/simspeed/v1"
 )
 
 // LatencyMs is a recovery-latency distribution in virtual milliseconds.
@@ -238,91 +240,6 @@ type Recovery struct {
 	// better).
 	StandbyDepthGainPct float64 `json:"standby_depth_gain_pct"`
 	MicroWidthGainMs    float64 `json:"micro_width_gain_ms"`
-}
-
-// SimspeedRegion is one instrumented region's row of a simspeed
-// scenario: the per-subsystem cost attribution of internal/perf. Count
-// and Samples are deterministic for a fixed seed+workload; the ns and
-// alloc fields observe the run machine.
-type SimspeedRegion struct {
-	Region         string  `json:"region"`
-	Count          uint64  `json:"count"`            // entries (deterministic)
-	Samples        uint64  `json:"samples"`          // alloc-sampled entries (deterministic)
-	TotalNs        int64   `json:"total_ns"`         // inclusive wall ns
-	SelfNs         int64   `json:"self_ns"`          // exclusive wall ns
-	NsPerEntry     float64 `json:"ns_per_entry"`     // self ns per entry, lower is better
-	AllocsPerEntry float64 `json:"allocs_per_entry"` // heap objects per entry
-}
-
-// SimspeedScenario is one battery scenario of cmd/simspeed, run twice:
-// instrumented (obs + invariant checker + decision log attached) and
-// bare (all recorders nil). Events/BareEvents/VirtualMs and every
-// region's Count/Samples are deterministic; everything else is
-// wall-clock and varies by machine.
-type SimspeedScenario struct {
-	Name string `json:"name"`
-
-	Events     uint64  `json:"events"`      // scheduler events, instrumented run
-	BareEvents uint64  `json:"bare_events"` // scheduler events, nil-recorder run
-	VirtualMs  float64 `json:"virtual_ms"`  // virtual time simulated
-	ObsEvents  uint64  `json:"obs_events"`  // trace events emitted past the mask
-
-	WallMs           float64 `json:"wall_ms"`
-	EventsPerSec     float64 `json:"events_per_sec"`   // higher is better
-	NsPerEvent       float64 `json:"ns_per_event"`     // lower is better
-	AllocsPerEvent   float64 `json:"allocs_per_event"` // lower is better
-	VirtualPerWall   float64 `json:"virtual_per_wall"` // higher is better
-	BareWallMs       float64 `json:"bare_wall_ms"`
-	BareEventsPerSec float64 `json:"bare_events_per_sec"` // higher is better
-	// OverheadPct is the obs/check/decision stack's wall-clock cost:
-	// instrumented ns/event over bare ns/event, as a percentage
-	// increase. Lower is better.
-	OverheadPct float64 `json:"overhead_pct"`
-
-	Regions []SimspeedRegion `json:"regions"`
-}
-
-// Simspeed is the BENCH_simspeed.json document: wall-clock speed of the
-// simulator itself over the standard cmd/simspeed battery. The
-// deterministic fields are hard-gated by the bench gate (any drift
-// fails: the same code must execute the same events); the wall-clock
-// fields are gated warn-only (shared-runner noise).
-type Simspeed struct {
-	Schema     string             `json:"schema"`
-	Seed       int64              `json:"seed"`
-	WallClockS float64            `json:"wall_clock_s"`
-	Scenarios  []SimspeedScenario `json:"scenarios"`
-}
-
-// Canonical returns a deep copy with every wall-clock field zeroed,
-// leaving only the deterministic skeleton (scenario names, event and
-// region entry counts, virtual time). Two runs of the same binary and
-// seed must produce byte-identical canonical documents — the
-// determinism-separation gate cmd/simspeed tests and CI enforce.
-func (s Simspeed) Canonical() Simspeed {
-	out := s
-	out.WallClockS = 0
-	out.Scenarios = make([]SimspeedScenario, len(s.Scenarios))
-	for i, sc := range s.Scenarios {
-		sc.WallMs = 0
-		sc.EventsPerSec = 0
-		sc.NsPerEvent = 0
-		sc.AllocsPerEvent = 0
-		sc.VirtualPerWall = 0
-		sc.BareWallMs = 0
-		sc.BareEventsPerSec = 0
-		sc.OverheadPct = 0
-		sc.Regions = make([]SimspeedRegion, len(s.Scenarios[i].Regions))
-		for j, rr := range s.Scenarios[i].Regions {
-			rr.TotalNs = 0
-			rr.SelfNs = 0
-			rr.NsPerEntry = 0
-			rr.AllocsPerEntry = 0
-			sc.Regions[j] = rr
-		}
-		out.Scenarios[i] = sc
-	}
-	return out
 }
 
 // WriteFile marshals v as indented JSON (plus trailing newline) to path.

@@ -1,22 +1,13 @@
 // Package compare is the bench-regression gate: it accumulates the
 // machine-readable perf baselines (BENCH_throughput.json,
 // BENCH_campaign.json, BENCH_fig7/8.json, BENCH_fleet.json,
-// BENCH_recovery.json, BENCH_simspeed.json) into an append-only
+// BENCH_decisions.json, BENCH_recovery.json) into an append-only
 // BENCH_history.jsonl trajectory, and diffs the newest entry against the
 // previous one with per-metric, direction-aware thresholds — by default
 // warn past 5% and fail past 10% movement in the bad direction (e.g. a
 // throughput drop, or recovery-latency p95 growth). CI runs the diff as
 // a gate via cmd/benchgate, so a commit that quietly costs 10% of Fig. 7
 // throughput fails its build instead of landing.
-//
-// Metrics carry a gating class. Most are Gated: direction-aware
-// percent thresholds as above. Exact metrics are deterministic counts
-// (the simspeed scenarios' scheduler-event and region-entry counts) —
-// ANY drift fails, because the same code at the same seed must execute
-// the same events; a drift there is a behavior change smuggled in as a
-// perf delta. Noisy metrics are wall-clock measurements (events/sec,
-// ns/event) taken on whatever machine ran the bench — they gate
-// warn-only, never failing a build on shared-runner jitter.
 package compare
 
 import (
@@ -41,18 +32,17 @@ type Entry struct {
 	Fleet      *bench.Fleet      `json:"fleet,omitempty"`
 	Decisions  *bench.Decisions  `json:"decisions,omitempty"`
 	Recovery   *bench.Recovery   `json:"recovery,omitempty"`
-	Simspeed   *bench.Simspeed   `json:"simspeed,omitempty"`
 }
 
 // Empty reports whether the entry carries no documents at all.
 func (e Entry) Empty() bool {
 	return e.Throughput == nil && e.Campaign == nil && len(e.Figures) == 0 &&
-		e.Fleet == nil && e.Decisions == nil && e.Recovery == nil &&
-		e.Simspeed == nil
+		e.Fleet == nil && e.Decisions == nil && e.Recovery == nil
 }
 
 // LoadEntry gathers the baseline documents found in dir
-// (BENCH_throughput.json, BENCH_campaign.json, BENCH_fig*.json; missing
+// (BENCH_throughput.json, BENCH_campaign.json, BENCH_fleet.json,
+// BENCH_decisions.json, BENCH_recovery.json, BENCH_fig*.json; missing
 // files are skipped, malformed ones are errors).
 func LoadEntry(dir, label string) (Entry, error) {
 	e := Entry{Label: label}
@@ -98,12 +88,6 @@ func LoadEntry(dir, label string) (Entry, error) {
 		return e, err
 	} else if ok {
 		e.Recovery = &rv
-	}
-	var ss bench.Simspeed
-	if ok, err := load(filepath.Join(dir, "BENCH_simspeed.json"), &ss); err != nil {
-		return e, err
-	} else if ok {
-		e.Simspeed = &ss
 	}
 	figs, err := filepath.Glob(filepath.Join(dir, "BENCH_fig*.json"))
 	if err != nil {
@@ -203,44 +187,14 @@ type Thresholds struct {
 // DefaultThresholds: warn past 5%, fail past 10%.
 var DefaultThresholds = Thresholds{WarnPct: 5, FailPct: 10}
 
-// Class is a metric's gating rule.
-type Class int
-
-const (
-	// Gated metrics use the direction-aware percent thresholds.
-	Gated Class = iota
-	// Exact metrics are deterministic counts: any drift at all is a
-	// Fail, regardless of direction or thresholds. Used for the
-	// simspeed scenarios' scheduler-event and region-entry counts,
-	// where a change means the code's behavior changed, not its speed.
-	Exact
-	// Noisy metrics are wall-clock measurements whose variance is
-	// dominated by the machine that ran them; their severity is capped
-	// at Warn so runner jitter never fails a build.
-	Noisy
-)
-
-func (c Class) String() string {
-	switch c {
-	case Exact:
-		return "exact"
-	case Noisy:
-		return "noisy"
-	}
-	return "gated"
-}
-
 // Finding is one metric's movement between two history entries.
 // DeltaPct is signed with the metric's natural direction (positive =
 // increased); RegressionPct is the movement in the bad direction
-// (positive = worse, 0 when the metric improved or held — except for
-// Exact metrics, where any movement is bad and RegressionPct is the
-// absolute drift).
+// (positive = worse, 0 when the metric improved or held).
 type Finding struct {
 	Metric        string
 	Old, New      float64
 	HigherBetter  bool
-	Class         Class
 	DeltaPct      float64
 	RegressionPct float64
 	Severity      Severity
@@ -274,7 +228,6 @@ type metric struct {
 	name         string
 	value        float64
 	higherBetter bool
-	class        Class
 }
 
 // metrics flattens an entry into its gated scalar metrics.
@@ -282,9 +235,6 @@ func metrics(e Entry) []metric {
 	var out []metric
 	add := func(name string, v float64, higher bool) {
 		out = append(out, metric{name: name, value: v, higherBetter: higher})
-	}
-	addC := func(name string, v float64, higher bool, c Class) {
-		out = append(out, metric{name: name, value: v, higherBetter: higher, class: c})
 	}
 	if t := e.Throughput; t != nil {
 		for _, p := range t.Points {
@@ -340,26 +290,6 @@ func metrics(e Entry) []metric {
 		add("recovery/standby_depth_gain_pct", rv.StandbyDepthGainPct, true)
 		add("recovery/micro_width_gain_ms", rv.MicroWidthGainMs, true)
 	}
-	if ss := e.Simspeed; ss != nil {
-		for _, sc := range ss.Scenarios {
-			key := "simspeed/" + sc.Name
-			// Deterministic skeleton: hard-gated. Direction is moot for
-			// Exact metrics (any drift fails) but recorded as
-			// higher=better for display consistency.
-			addC(key+"/events", float64(sc.Events), true, Exact)
-			addC(key+"/bare_events", float64(sc.BareEvents), true, Exact)
-			addC(key+"/obs_events", float64(sc.ObsEvents), true, Exact)
-			for _, rr := range sc.Regions {
-				addC(key+"/region/"+rr.Region+"/count",
-					float64(rr.Count), true, Exact)
-			}
-			// Wall-clock speed: warn-only.
-			addC(key+"/events_per_sec", sc.EventsPerSec, true, Noisy)
-			addC(key+"/ns_per_event", sc.NsPerEvent, false, Noisy)
-			addC(key+"/allocs_per_event", sc.AllocsPerEvent, false, Noisy)
-			addC(key+"/overhead_pct", sc.OverheadPct, false, Noisy)
-		}
-	}
 	for _, f := range e.Figures {
 		key := "figure/" + f.Name
 		add(key+"/baseline_mbps", f.BaselineMBps, true)
@@ -378,8 +308,7 @@ func metrics(e Entry) []metric {
 // Diff compares the newest entry against the previous one. Metrics only
 // present on one side are not scored (but old-side-only ones are listed
 // as Missing); a zero old value with a worse nonzero new value fails
-// outright (the percent rule cannot grade growth from zero). Exact
-// metrics fail on any drift; Noisy metrics never exceed Warn.
+// outright (the percent rule cannot grade growth from zero).
 func Diff(old, new Entry, th Thresholds) Report {
 	if th.WarnPct == 0 && th.FailPct == 0 {
 		th = DefaultThresholds
@@ -397,25 +326,11 @@ func Diff(old, new Entry, th Thresholds) Report {
 		delete(oldM, m.name)
 		f := Finding{
 			Metric: m.name, Old: o.value, New: m.value,
-			HigherBetter: m.higherBetter, Class: m.class,
+			HigherBetter: m.higherBetter,
 		}
 		switch {
 		case o.value == m.value:
 			// unchanged
-		case m.class == Exact:
-			// Deterministic count drifted: fail outright, whatever the
-			// direction or magnitude — the code's behavior changed.
-			if o.value != 0 {
-				f.DeltaPct = 100 * (m.value - o.value) / o.value
-			}
-			f.RegressionPct = f.DeltaPct
-			if f.RegressionPct < 0 {
-				f.RegressionPct = -f.RegressionPct
-			}
-			if f.RegressionPct == 0 {
-				f.RegressionPct = 100 // drift from zero
-			}
-			f.Severity = Fail
 		case o.value == 0:
 			// Growth from zero: gradable only by direction.
 			if !m.higherBetter && m.value > 0 {
@@ -438,9 +353,6 @@ func Diff(old, new Entry, th Thresholds) Report {
 			case f.RegressionPct > th.WarnPct:
 				f.Severity = Warn
 			}
-		}
-		if m.class == Noisy && f.Severity > Warn {
-			f.Severity = Warn // machine noise never fails a build
 		}
 		r.Findings = append(r.Findings, f)
 	}
@@ -471,12 +383,6 @@ func (r Report) WriteText(w io.Writer) {
 		dir := "higher=better"
 		if !f.HigherBetter {
 			dir = "lower=better"
-		}
-		switch f.Class {
-		case Exact:
-			dir = "exact: any drift fails"
-		case Noisy:
-			dir += ", noisy: warn-only"
 		}
 		fmt.Fprintf(w, "  %-4s %-48s %12.3f -> %-12.3f %+6.1f%% (%s)\n",
 			f.Severity, f.Metric, f.Old, f.New, f.DeltaPct, dir)

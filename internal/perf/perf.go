@@ -1,9 +1,10 @@
 // Package perf is wall-clock performance telemetry for the simulator
-// itself — the meters behind BENCH_simspeed.json and ROADMAP item 1
-// ("profile the hot path"). It lives strictly apart from the
+// itself — the per-layer meters behind the perfbench benchmark's
+// traced runs (perfbench --trace 1). It lives strictly apart from the
 // deterministic virtual-time plane: everything the simulation computes
 // (event order, virtual clocks, traces, figures) is identical with and
-// without a Profiler attached.
+// without a Profiler attached, which the root package's
+// TestProfilerNeverPerturbsSimulation pins.
 //
 // The split is enforced by construction. A Profiler keeps two classes of
 // state:
@@ -11,10 +12,9 @@
 //   - Deterministic counters: how many times each region was entered,
 //     and which entries were alloc-sampled (every Kth entry of a region,
 //     a pure count-based rule). These are byte-reproducible across runs
-//     and machines and are hard-gated by benchgate.
+//     and machines.
 //   - Wall-clock samples: nanoseconds and allocation deltas observed
-//     while inside a region. These vary run to run and are gated
-//     warn-only.
+//     while inside a region. These vary run to run.
 //
 // Regions are cheap nestable brackets (Begin/End) placed on the
 // simulator hot path: the scheduler step loop, kernel IPC dispatch,
@@ -33,9 +33,7 @@ package perf
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/metrics"
-	"sort"
 	"time"
 
 	"resilientos/internal/sim"
@@ -114,14 +112,6 @@ type Profiler struct {
 
 	stack       []frame
 	allocSample []metrics.Sample
-
-	startWall    time.Time
-	startVirtual sim.Time
-	endVirtual   sim.Time
-	wallNs       int64
-	startMallocs uint64
-	mallocs      uint64
-	finished     bool
 }
 
 // New returns a profiler with the default alloc-sampling period.
@@ -210,32 +200,18 @@ func (p *Profiler) Count(r Region) uint64 {
 	return p.counts[r]
 }
 
-// Start marks the beginning of the measured run: it snapshots wall
-// time, the virtual clock, and the exact process-wide allocation count
-// (runtime.ReadMemStats).
-func (p *Profiler) Start(virtualNow sim.Time) {
-	if p == nil {
-		return
-	}
-	p.startVirtual = virtualNow
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.startMallocs = ms.Mallocs
-	p.startWall = time.Now()
-}
+// Start marks the beginning of the measured run. The profiler keeps no
+// run-level state, so Start records nothing; callers bracket a run with
+// Start and Finish, and Finish checks that every region inside closed.
+func (p *Profiler) Start(virtualNow sim.Time) {}
 
 // Finish marks the end of the measured run. The region stack must be
-// empty (all regions closed).
+// empty (all regions closed); an open region is an instrumentation bug
+// and panics.
 func (p *Profiler) Finish(virtualNow sim.Time) {
 	if p == nil {
 		return
 	}
-	p.wallNs = int64(time.Since(p.startWall))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.mallocs = ms.Mallocs - p.startMallocs
-	p.endVirtual = virtualNow
-	p.finished = true
 	if len(p.stack) != 0 {
 		panic("perf: Finish with " + p.stack[len(p.stack)-1].region.String() + " still open")
 	}
@@ -288,19 +264,11 @@ type RegionReport struct {
 	AllocsPerEntry float64 // heap objects per entry, from sampled entries
 }
 
-// Report is the profiler's summary of one run. Events, VirtualNs, and
-// the per-region Count/Samples fields are deterministic; everything
-// else observes the host machine.
+// Report is the profiler's summary of one run: one row per region. The
+// per-region Count/Samples fields are deterministic; everything else
+// observes the host machine.
 type Report struct {
-	Events         uint64  // scheduler events executed (RegionStep entries)
-	VirtualNs      int64   // virtual time advanced between Start and Finish
-	WallNs         int64   // wall time between Start and Finish
-	Mallocs        uint64  // exact heap allocations between Start and Finish
-	EventsPerSec   float64 // Events / wall seconds
-	NsPerEvent     float64 // WallNs / Events
-	AllocsPerEvent float64 // Mallocs / Events
-	VirtualPerWall float64 // virtual seconds simulated per wall second
-	Regions        []RegionReport
+	Regions []RegionReport
 }
 
 // Report summarizes the run. Every region appears exactly once, in
@@ -310,21 +278,7 @@ func (p *Profiler) Report() Report {
 	if p == nil {
 		return Report{}
 	}
-	rep := Report{
-		Events:    p.counts[RegionStep],
-		VirtualNs: int64(p.endVirtual - p.startVirtual),
-		WallNs:    p.wallNs,
-		Mallocs:   p.mallocs,
-	}
-	if rep.WallNs > 0 {
-		rep.EventsPerSec = float64(rep.Events) / (float64(rep.WallNs) / 1e9)
-		rep.VirtualPerWall = float64(rep.VirtualNs) / float64(rep.WallNs)
-	}
-	if rep.Events > 0 {
-		rep.NsPerEvent = float64(rep.WallNs) / float64(rep.Events)
-		rep.AllocsPerEvent = float64(rep.Mallocs) / float64(rep.Events)
-	}
-	rep.Regions = make([]RegionReport, 0, regionMax)
+	rep := Report{Regions: make([]RegionReport, 0, regionMax)}
 	for r := Region(0); r < regionMax; r++ {
 		rr := RegionReport{
 			Region:  r.String(),
@@ -342,24 +296,4 @@ func (p *Profiler) Report() Report {
 		rep.Regions = append(rep.Regions, rr)
 	}
 	return rep
-}
-
-// FoldedLines renders the wall-clock region self-times in the folded
-// stack-line format of the virtual-time profiler (obs/profile
-// WriteFolded): "wall:<region> <self µs>", sorted, one line per region
-// that was entered. Appending these to the virtual folded stacks puts
-// wall and virtual cost side by side in one flamegraph.
-func (p *Profiler) FoldedLines() []string {
-	if p == nil {
-		return nil
-	}
-	lines := make([]string, 0, regionMax)
-	for r := Region(0); r < regionMax; r++ {
-		if p.counts[r] == 0 {
-			continue
-		}
-		lines = append(lines, fmt.Sprintf("wall:%s %d", r, p.selfNs[r]/1000))
-	}
-	sort.Strings(lines)
-	return lines
 }
