@@ -53,7 +53,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"resilientos/internal/core"
@@ -162,8 +164,7 @@ type Checker struct {
 	deadSince      map[string]sim.Time  // label -> first seen dead-while-running
 	staleGrants    map[grantKey]int     // grant -> step first seen with dead grantee
 	openCausal     map[int64]causalSpan // causal span ID -> begin info (span-leak)
-	openDecisions  map[string]sim.Time  // label -> decision-level detect time
-	openDecPolicy  map[string]sim.Time  // label -> decision-level policy-run time
+	episodes       decision.Episodes    // decision-level episode lifecycle
 	capsuleVer     map[string]int64     // label -> last capsule version saved or adopted
 
 	// Per-step scratch state, reused to keep the every-step scans
@@ -233,8 +234,6 @@ func New(cfg Config) *Checker {
 		deadSince:      make(map[string]sim.Time),
 		staleGrants:    make(map[grantKey]int),
 		openCausal:     make(map[int64]causalSpan),
-		openDecisions:  make(map[string]sim.Time),
-		openDecPolicy:  make(map[string]sim.Time),
 		capsuleVer:     make(map[string]int64),
 		seenEp:         make(map[kernel.Endpoint]string),
 		seenLabel:      make(map[string]kernel.Endpoint),
@@ -294,8 +293,7 @@ func (c *Checker) Emit(e obs.Event) {
 		c.openSpans = make(map[string]sim.Time)
 		c.openPolicies = make(map[string]sim.Time)
 		c.openCausal = make(map[int64]causalSpan)
-		c.openDecisions = make(map[string]sim.Time)
-		c.openDecPolicy = make(map[string]sim.Time)
+		c.episodes = decision.Episodes{}
 		c.capsuleVer = make(map[string]int64)
 	case obs.KindSpanBegin:
 		if prev, dup := c.openCausal[e.Span]; dup {
@@ -360,48 +358,31 @@ type decisionSink struct{ c *Checker }
 
 func (s decisionSink) Emit(e decision.Event) { s.c.onDecision(e) }
 
-// onDecision maintains the decision-level episode state machine: detect
-// opens, exactly one outcome closes, actions and policy steps must fall
-// inside. Triggers are pre-episode by design and always allowed. Marks
-// reset the state via the obs-side KindMark case — but decision logs can
-// carry their own marks too (whatif cell boundaries), handled here.
+// decisionViolations words a rejected decision event per kind: its
+// report-key prefix and its detail format (action, then time).
+var decisionViolations = map[decision.Kind][2]string{
+	decision.KindAction:     {"decact:", "decision-without-episode: action %q at %v outside an open recovery episode"},
+	decision.KindPolicyStep: {"decstep:", "decision-without-episode: policy step %q at %v outside a policy run"},
+	decision.KindOutcome:    {"decterm:", "decision-without-episode: terminal decision %q at %v without an open episode (missing detect, or a second terminal)"},
+}
+
+// onDecision drives the decision-level episode machine (decision.Episodes,
+// shared with the offline decision.Check) and reports the events it
+// rejects. Marks reset the machine via the obs-side KindMark case — but
+// decision logs can carry their own marks too (whatif cell boundaries),
+// which the machine handles itself.
 func (c *Checker) onDecision(e decision.Event) {
-	switch e.Kind {
-	case decision.KindMark:
-		c.openDecisions = make(map[string]sim.Time)
-		c.openDecPolicy = make(map[string]sim.Time)
-	case decision.KindTrigger:
-		// Pre-episode by design.
-	case decision.KindDetect:
-		c.openDecisions[e.Service] = e.T
+	legal := c.episodes.Step(e)
+	if v, ok := decisionViolations[e.Kind]; ok && !legal {
+		c.report(v[0]+e.Service, "decision", e.Service, fmt.Sprintf(v[1], e.Action, time.Duration(e.T)))
+	}
+	// A fresh episode, or the end of a policy run, re-arms its reports.
+	switch {
+	case e.Kind == decision.KindDetect:
 		c.clearKey("decact:" + e.Service)
 		c.clearKey("decterm:" + e.Service)
-	case decision.KindAction:
-		if _, open := c.openDecisions[e.Service]; !open {
-			c.report("decact:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: action %q at %v outside an open recovery episode",
-					e.Action, time.Duration(e.T)))
-		}
-		if e.Action == "policy-run" {
-			c.openDecPolicy[e.Service] = e.T
-		}
-	case decision.KindPolicyStep:
-		if _, open := c.openDecPolicy[e.Service]; !open {
-			c.report("decstep:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: policy step %q at %v outside a policy run",
-					e.Action, time.Duration(e.T)))
-		}
-		if e.Action == "exit" {
-			delete(c.openDecPolicy, e.Service)
-			c.clearKey("decstep:" + e.Service)
-		}
-	case decision.KindOutcome:
-		if _, open := c.openDecisions[e.Service]; !open {
-			c.report("decterm:"+e.Service, "decision", e.Service,
-				fmt.Sprintf("decision-without-episode: terminal decision %q at %v without an open episode (missing detect, or a second terminal)",
-					e.Action, time.Duration(e.T)))
-		}
-		delete(c.openDecisions, e.Service)
+	case e.Kind == decision.KindPolicyStep && e.Action == "exit":
+		c.clearKey("decstep:" + e.Service)
 	}
 }
 
@@ -446,22 +427,22 @@ func (c *Checker) Finish() {
 			c.report("windows", "window-monotonic", "timeseries", err.Error())
 		}
 	}
-	for _, comp := range sortedTimeKeys(c.openSpans) {
+	for _, comp := range sortedKeys(c.openSpans) {
 		c.report("finish-span:"+comp, "trace-span", comp,
 			fmt.Sprintf("recovery span open at end of run (defect at %v, no restart/give-up)",
 				time.Duration(c.openSpans[comp])))
 	}
-	for _, comp := range sortedTimeKeys(c.openPolicies) {
+	for _, comp := range sortedKeys(c.openPolicies) {
 		c.report("finish-policy:"+comp, "trace-span", comp,
 			fmt.Sprintf("policy script started at %v never exited",
 				time.Duration(c.openPolicies[comp])))
 	}
-	for _, comp := range sortedTimeKeys(c.openDecisions) {
+	for _, comp := range sortedKeys(c.episodes.Open) {
 		c.report("finish-decision:"+comp, "decision", comp,
 			fmt.Sprintf("episode-without-terminal-decision: crash detected at %v has no terminal decision",
-				time.Duration(c.openDecisions[comp])))
+				time.Duration(c.episodes.Open[comp])))
 	}
-	for _, id := range sortedSpanIDs(c.openCausal) {
+	for _, id := range sortedKeys(c.openCausal) {
 		sp := c.openCausal[id]
 		if !c.cfg.StrictSpanLeaks {
 			// Lenient mode: an open span whose owner is still alive is a
@@ -483,15 +464,9 @@ func (c *Checker) Finish() {
 func (c *Checker) scanProcs() {
 	seenEp := c.seenEp
 	seenLabel := c.seenLabel
-	for k := range seenEp {
-		delete(seenEp, k)
-	}
-	for k := range seenLabel {
-		delete(seenLabel, k)
-	}
-	for k := range c.standbyEps {
-		delete(c.standbyEps, k)
-	}
+	clear(seenEp)
+	clear(seenLabel)
+	clear(c.standbyEps)
 	c.cfg.Kernel.VisitProcs(func(p kernel.ProcInfo) {
 		if !p.Alive {
 			if p.Grants > 0 {
@@ -525,9 +500,7 @@ func (c *Checker) scanProcs() {
 // incarnation beyond the revocation window.
 func (c *Checker) scanGrants() {
 	live := c.liveStale
-	for k := range live {
-		delete(live, k)
-	}
+	clear(live)
 	c.cfg.Kernel.VisitGrants(func(g kernel.GrantInfo) {
 		if g.To == kernel.Any || c.cfg.Kernel.Alive(g.To) {
 			return
@@ -596,9 +569,7 @@ func (c *Checker) scanServices(now sim.Time) {
 		svcs = c.cfg.RS.Services()
 	}
 	liveLabels := c.liveLabels
-	for k := range liveLabels {
-		delete(liveLabels, k)
-	}
+	clear(liveLabels)
 	for _, svc := range svcs {
 		liveLabels[svc.Label] = true
 		if !svc.Running || svc.Stopped || svc.GaveUp {
@@ -670,14 +641,14 @@ func (c *Checker) scanServices(now sim.Time) {
 
 // scanSpans asserts recovery spans and policy scripts close in time.
 func (c *Checker) scanSpans(now sim.Time) {
-	for _, comp := range sortedTimeKeys(c.openSpans) {
+	for _, comp := range sortedKeys(c.openSpans) {
 		if now-c.openSpans[comp] > c.cfg.SpanDeadline {
 			c.report("span:"+comp, "trace-span", comp,
 				fmt.Sprintf("defect at %v still unresolved after %v (no restart or give-up)",
 					time.Duration(c.openSpans[comp]), time.Duration(now-c.openSpans[comp])))
 		}
 	}
-	for _, comp := range sortedTimeKeys(c.openPolicies) {
+	for _, comp := range sortedKeys(c.openPolicies) {
 		if now-c.openPolicies[comp] > c.cfg.SpanDeadline {
 			c.report("policy:"+comp, "trace-span", comp,
 				fmt.Sprintf("policy script running since %v (deadline %v)",
@@ -686,29 +657,13 @@ func (c *Checker) scanSpans(now sim.Time) {
 	}
 }
 
-func sortedSpanIDs(m map[int64]causalSpan) []int64 {
-	ids := make([]int64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
-}
-
-func sortedTimeKeys(m map[string]sim.Time) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order, so scans over the
+// checker's state maps report violations deterministically.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: the maps are tiny (open spans are rare).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }

@@ -15,14 +15,12 @@
 package decision
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
+	"resilientos/internal/obs"
 	"resilientos/internal/perf"
 	"resilientos/internal/sim"
 )
@@ -147,147 +145,24 @@ type Event struct {
 	Span  int64
 }
 
-// Sink receives every event the recorder emits. Sinks run synchronously
-// in scheduler order, so anything they do must be deterministic.
-type Sink interface {
-	Emit(Event)
-}
+// Recorder is the decision bus: obs's shared Stream core over decision
+// events, profiled under perf.RegionDecision. A nil *Recorder is valid,
+// so the RS with decision tracing off pays one nil check per decision.
+type Recorder = obs.Stream[Event, Kind]
 
-// Recorder is the decision bus: it stamps events with virtual time,
-// filters by kind, and fans out to its sinks. A nil *Recorder is valid —
-// every method is a no-op — so the RS hot path with decision tracing
-// off costs a single nil check per decision point.
-type Recorder struct {
-	clock func() sim.Time
-	sinks []Sink
-	mask  uint64 // bit i set = Kind(i) enabled
+// Sink receives every event the recorder emits.
+type Sink = obs.SinkOf[Event]
 
-	perf  *perf.Profiler // wall-clock cost attribution (nil = off)
-	nemit uint64         // events emitted past the mask (deterministic)
-}
+// SliceSink appends every event to an unbounded slice.
+type SliceSink = obs.SliceSinkOf[Event]
 
 // NewRecorder creates a recorder with all kinds enabled.
 func NewRecorder(sinks ...Sink) *Recorder {
-	return &Recorder{sinks: sinks, mask: ^uint64(0)}
+	return obs.NewStream(perf.RegionDecision,
+		func(e Event) Kind { return e.Kind },
+		func(e Event, t sim.Time) Event { e.T = t; return e },
+		sinks...)
 }
-
-// SetClock installs the virtual-time source (the simulation
-// environment's Now). Events emitted before a clock is set are stamped
-// with their pre-filled T (zero by default).
-func (r *Recorder) SetClock(fn func() sim.Time) {
-	if r == nil {
-		return
-	}
-	r.clock = fn
-}
-
-// AddSink attaches another sink.
-func (r *Recorder) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.sinks = append(r.sinks, s)
-}
-
-// Disable turns the given kinds off; their Emit calls become no-ops and
-// On reports false (instrumentation uses On to skip argument work).
-func (r *Recorder) Disable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask &^= 1 << uint(k)
-	}
-}
-
-// Enable turns kinds (back) on.
-func (r *Recorder) Enable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask |= 1 << uint(k)
-	}
-}
-
-// On reports whether events of kind k are recorded. Nil-safe; the RS
-// calls this before computing expensive event details (heartbeat
-// windows, joined argv).
-func (r *Recorder) On(k Kind) bool {
-	return r != nil && r.mask&(1<<uint(k)) != 0
-}
-
-// SetPerf installs the wall-clock profiler: every emitted event's
-// stamping and sink fan-out runs inside RegionDecision. Nil-safe; a nil
-// profiler (the default) keeps the emit path free.
-func (r *Recorder) SetPerf(p *perf.Profiler) {
-	if r == nil {
-		return
-	}
-	r.perf = p
-}
-
-// Emitted reports how many events passed the kind mask and reached the
-// sinks — the recorder's deterministic work counter. Nil-safe.
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.nemit
-}
-
-// Emit stamps e with the current virtual time and publishes it to every
-// sink. Nil-safe.
-func (r *Recorder) Emit(e Event) {
-	if r == nil || r.mask&(1<<uint(e.Kind)) == 0 {
-		return
-	}
-	r.nemit++
-	r.perf.Begin(perf.RegionDecision)
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
-	r.perf.End(perf.RegionDecision)
-}
-
-// SliceSink appends every event to an unbounded slice.
-type SliceSink struct {
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *SliceSink) Emit(e Event) { s.events = append(s.events, e) }
-
-// Events returns the recorded events in emission order (not a copy).
-func (s *SliceSink) Events() []Event { return s.events }
-
-// JSONLSink writes each event as one canonical JSON line. The first
-// write error is retained and silences the sink.
-type JSONLSink struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// NewJSONLSink wraps w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendJSONL(s.buf[:0], e)
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
-	}
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error { return s.err }
 
 // AppendJSONL appends e's canonical JSONL encoding (including the
 // trailing newline) to dst. Field order is fixed — t, kind, svc,
@@ -354,106 +229,101 @@ type jsonlRecord struct {
 }
 
 // ParseJSONL reads a decision log back into events. The parser is
-// strict — unknown fields, unknown kinds, and malformed lines are
-// errors, never panics — and re-encoding its output reproduces a
-// canonical log byte-for-byte (the round-trip property the fuzz target
-// holds). Blank lines are skipped; lines are capped at 1 MiB.
+// strict (see obs.ReadJSONL) — unknown fields, unknown kinds, and
+// malformed lines are errors, never panics — and re-encoding its output
+// reproduces a canonical log byte-for-byte (the round-trip property the
+// fuzz target holds). Blank lines are skipped.
 func ParseJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var rec jsonlRecord
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("decision: log line %d: %v", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("decision: log line %d: trailing data after record", line)
-		}
+	return obs.ReadJSONL(r, "decision: log", func(rec jsonlRecord) (Event, error) {
 		k, ok := ParseKind(rec.Kind)
 		if !ok {
-			return nil, fmt.Errorf("decision: log line %d: unknown kind %q", line, rec.Kind)
+			return Event{}, fmt.Errorf("unknown kind %q", rec.Kind)
 		}
-		out = append(out, Event{
+		return Event{
 			T: sim.Time(rec.T), Kind: k, Service: rec.Svc,
 			Defect: rec.Defect, Failures: rec.Failures, Budget: rec.Budget,
 			Action: rec.Action, Detail: rec.Detail,
 			Delay: sim.Time(rec.Delay), Status: rec.Status, Latency: sim.Time(rec.Latency),
 			Trace: rec.Tr, Span: rec.Sp,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		}, nil
+	})
 }
 
-// Check verifies a decision log's well-formedness offline, mirroring
-// the live internal/check invariant: a detect opens an episode for its
-// service, actions and policy steps only occur inside one, each episode
-// gets exactly one terminal outcome, and policy steps only occur inside
-// a policy run opened by a "policy-run" action and closed by its "exit"
-// step. Marks reset all state (independent runs sharing one log).
-// Returns a description of every problem found (nil = well-formed).
+// Episodes is the recovery-episode state machine behind both decision-log
+// verifiers, Check (offline) and internal/check's decision invariant
+// (live): a detect opens an episode for its service, one outcome closes
+// it, actions only occur inside one, and policy steps only occur inside a
+// policy run opened by a "policy-run" action and closed by its "exit"
+// step. Triggers stand outside episodes by design; marks reset all state
+// (independent runs sharing one log). The zero value is ready to use.
+type Episodes struct {
+	Open      map[string]sim.Time // service -> detect time of its open episode
+	PolicyRun map[string]sim.Time // service -> start time of its open policy run
+}
+
+// Step advances the machine by one event and reports whether it was
+// legal: an action or outcome with no open episode, a policy step with no
+// open policy run, and an unknown kind are not. Illegal events still
+// update the state (an orphan "policy-run" action opens a policy run).
+func (m *Episodes) Step(e Event) bool {
+	if m.Open == nil || e.Kind == KindMark {
+		m.Open = map[string]sim.Time{}
+		m.PolicyRun = map[string]sim.Time{}
+	}
+	_, open := m.Open[e.Service]
+	_, running := m.PolicyRun[e.Service]
+	switch e.Kind {
+	case KindMark, KindTrigger:
+		return true
+	case KindDetect:
+		m.Open[e.Service] = e.T
+		return true
+	case KindAction:
+		if e.Action == "policy-run" {
+			m.PolicyRun[e.Service] = e.T
+		}
+		return open
+	case KindPolicyStep:
+		if e.Action == "exit" {
+			delete(m.PolicyRun, e.Service)
+		}
+		return running
+	case KindOutcome:
+		delete(m.Open, e.Service)
+		return open
+	}
+	return false
+}
+
+// Check verifies a decision log's well-formedness offline by driving
+// Episodes over it, the same machine the live internal/check invariant
+// runs; every episode or policy run still open at the end is a problem
+// too. Returns a description of every problem found (nil = well-formed).
 func Check(events []Event) []string {
 	var problems []string
-	open := map[string]sim.Time{}      // service -> detect time
-	policyRun := map[string]sim.Time{} // service -> policy-run time
+	var m Episodes
 	for i, e := range events {
-		switch e.Kind {
-		case KindMark:
-			open = map[string]sim.Time{}
-			policyRun = map[string]sim.Time{}
-		case KindTrigger:
-			// Triggers stand outside episodes by design.
-		case KindDetect:
-			open[e.Service] = e.T
-		case KindAction:
-			if _, ok := open[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: action %q for %s outside an open episode",
-					i, e.T, e.Action, e.Service))
-			}
-			if e.Action == "policy-run" {
-				policyRun[e.Service] = e.T
-			}
-		case KindPolicyStep:
-			if _, ok := policyRun[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: policy step %q for %s outside a policy run",
-					i, e.T, e.Action, e.Service))
-			}
-			if e.Action == "exit" {
-				delete(policyRun, e.Service)
-			}
-		case KindOutcome:
-			if _, ok := open[e.Service]; !ok {
-				problems = append(problems, fmt.Sprintf(
-					"event %d at %v: terminal decision %q for %s without an open episode",
-					i, e.T, e.Action, e.Service))
-			} else {
-				delete(open, e.Service)
-			}
-		default:
-			problems = append(problems, fmt.Sprintf(
-				"event %d at %v: unknown kind %d", i, e.T, int(e.Kind)))
+		if m.Step(e) {
+			continue
 		}
+		p := fmt.Sprintf("unknown kind %d", int(e.Kind))
+		switch e.Kind {
+		case KindAction:
+			p = fmt.Sprintf("action %q for %s outside an open episode", e.Action, e.Service)
+		case KindPolicyStep:
+			p = fmt.Sprintf("policy step %q for %s outside a policy run", e.Action, e.Service)
+		case KindOutcome:
+			p = fmt.Sprintf("terminal decision %q for %s without an open episode", e.Action, e.Service)
+		}
+		problems = append(problems, fmt.Sprintf("event %d at %v: %s", i, e.T, p))
 	}
 	// Map-derived tail problems get a sorted, deterministic order.
 	var tail []string
-	for svc, t := range open {
+	for svc, t := range m.Open {
 		tail = append(tail, fmt.Sprintf(
 			"episode for %s detected at %v has no terminal decision", svc, t))
 	}
-	for svc, t := range policyRun {
+	for svc, t := range m.PolicyRun {
 		tail = append(tail, fmt.Sprintf(
 			"policy run for %s started at %v never exited", svc, t))
 	}

@@ -17,8 +17,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -134,7 +132,7 @@ func (k Kind) String() string {
 // ParseKind resolves a JSONL kind identifier; ok is false for unknown.
 func ParseKind(s string) (Kind, bool) {
 	for k, name := range kindNames {
-		if name == s {
+		if name != "" && name == s {
 			return Kind(k), true
 		}
 	}
@@ -172,25 +170,19 @@ type Event struct {
 
 // Sink receives every event the recorder emits. Sinks run synchronously in
 // scheduler order, so anything they do must be deterministic.
-type Sink interface {
-	Emit(Event)
-}
+type Sink = SinkOf[Event]
 
-// Recorder is the trace bus: it stamps events with virtual time, filters
-// by kind, and fans out to its sinks. A nil *Recorder is valid — every
+// Recorder is the trace bus: the shared Stream core over Event (profiled
+// under perf.RegionObs) plus what only traces have — the metrics registry
+// and the causal-tracing span IDs. A nil *Recorder is valid — every
 // method is a no-op — so instrumented code never branches on "is
 // observability configured" beyond the nil check inside each call.
 type Recorder struct {
-	clock func() sim.Time
-	sinks []Sink
-	mask  uint64 // bit i set = Kind(i) enabled
-	reg   *Registry
+	bus *Stream[Event, Kind]
+	reg *Registry
 
 	ipcRTT *Histogram // virtual-time SendRec round trips
 	recLat *Histogram // defect -> reintegration recovery latency
-
-	perf  *perf.Profiler // wall-clock cost attribution (nil = off)
-	nemit uint64         // events emitted past the mask (deterministic)
 
 	// Causal-tracing ID allocators. The scheduler is single-threaded, so
 	// plain counters are deterministic for a fixed seed+workload.
@@ -201,124 +193,50 @@ type Recorder struct {
 // NewRecorder creates a recorder with all event kinds enabled, a fresh
 // metrics registry, and the given sinks.
 func NewRecorder(sinks ...Sink) *Recorder {
-	r := &Recorder{sinks: sinks, mask: ^uint64(0), reg: NewRegistry()}
+	r := &Recorder{
+		bus: NewStream(perf.RegionObs,
+			func(e Event) Kind { return e.Kind },
+			func(e Event, t sim.Time) Event { e.T = t; return e },
+			sinks...),
+		reg: NewRegistry(),
+	}
 	r.ipcRTT = r.reg.Histogram("ipc_sendrec_ns", LatencyBuckets)
 	r.recLat = r.reg.Histogram("recovery_latency_ns", LatencyBuckets)
 	return r
 }
 
-// SetClock installs the virtual-time source (the simulation environment's
-// Now). Events emitted before a clock is set are stamped 0.
-func (r *Recorder) SetClock(fn func() sim.Time) {
+// stream is r's Stream core, nil for a nil recorder.
+func (r *Recorder) stream() *Stream[Event, Kind] {
 	if r == nil {
-		return
+		return nil
 	}
-	r.clock = fn
+	return r.bus
 }
 
-// AddSink attaches another sink.
-func (r *Recorder) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.sinks = append(r.sinks, s)
-}
+// The bus controls forward to the Stream core; see Stream for their
+// contracts. Each is nil-safe, as the core is.
 
-// Disable turns the given event kinds off; their Emit calls become no-ops
-// and On reports false (instrumentation uses On to skip argument work).
-func (r *Recorder) Disable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask &^= 1 << uint(k)
-	}
-}
-
-// Enable turns event kinds (back) on.
-func (r *Recorder) Enable(kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	for _, k := range kinds {
-		r.mask |= 1 << uint(k)
-	}
-}
-
-// On reports whether events of kind k are recorded. Nil-safe; hot paths
-// call this before computing expensive event arguments.
-func (r *Recorder) On(k Kind) bool {
-	return r != nil && r.mask&(1<<uint(k)) != 0
-}
-
-// SetPerf installs the wall-clock profiler: every emitted event's
-// stamping and sink fan-out runs inside RegionObs, so the cost of the
-// observability stack itself shows up in perfbench's traced per-layer
-// breakdown (obs.count, obs_self_ms). Nil-safe, and a nil profiler (the
-// default) keeps the emit path free.
-func (r *Recorder) SetPerf(p *perf.Profiler) {
-	if r == nil {
-		return
-	}
-	r.perf = p
-}
-
-// Emitted reports how many events passed the kind mask and reached the
-// sinks — the recorder's deterministic fast-path work counter. Nil-safe.
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.nemit
-}
+func (r *Recorder) SetClock(fn func() sim.Time) { r.stream().SetClock(fn) }
+func (r *Recorder) AddSink(s Sink)              { r.stream().AddSink(s) }
+func (r *Recorder) Disable(kinds ...Kind)       { r.stream().Disable(kinds...) }
+func (r *Recorder) Enable(kinds ...Kind)        { r.stream().Enable(kinds...) }
+func (r *Recorder) On(k Kind) bool              { return r.stream().On(k) }
+func (r *Recorder) SetPerf(p *perf.Profiler)    { r.stream().SetPerf(p) }
+func (r *Recorder) Emitted() uint64             { return r.stream().Emitted() }
 
 // Emit stamps and publishes one event to every sink. Nil-safe.
 func (r *Recorder) Emit(k Kind, comp, aux string, v1, v2 int64) {
-	if r == nil || r.mask&(1<<uint(k)) == 0 {
-		return
+	if r.On(k) {
+		r.bus.publish(Event{T: r.bus.now(), Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2})
 	}
-	r.nemit++
-	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2}
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
-	r.perf.End(perf.RegionObs)
 }
 
 // EmitCtx is Emit with a trace context attached, for events that happen
 // *within* a span (IPC sends/receives carrying a context). Nil-safe.
 func (r *Recorder) EmitCtx(k Kind, comp, aux string, v1, v2 int64, sc SpanContext) {
-	if r == nil || r.mask&(1<<uint(k)) == 0 {
-		return
+	if r.On(k) {
+		r.bus.publish(Event{T: r.bus.now(), Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2, Trace: sc.Trace, Span: sc.Span})
 	}
-	r.nemit++
-	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, V2: v2, Trace: sc.Trace, Span: sc.Span}
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
-	r.perf.End(perf.RegionObs)
-}
-
-// emitSpan publishes a span-lifecycle event with full trace fields.
-func (r *Recorder) emitSpan(k Kind, comp, aux string, v1 int64, tr, sp, pa int64) {
-	r.nemit++
-	r.perf.Begin(perf.RegionObs)
-	e := Event{Kind: k, Comp: comp, Aux: aux, V1: v1, Trace: tr, Span: sp, Parent: pa}
-	if r.clock != nil {
-		e.T = r.clock()
-	}
-	for _, s := range r.sinks {
-		s.Emit(e)
-	}
-	r.perf.End(perf.RegionObs)
 }
 
 // Metrics returns the recorder's registry (nil for a nil recorder; the
@@ -421,15 +339,7 @@ func (s *RingSink) EventsWithDropMark() []Event {
 
 // SliceSink appends every event to an unbounded slice (experiments use it
 // to post-process a whole run's trace).
-type SliceSink struct {
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *SliceSink) Emit(e Event) { s.events = append(s.events, e) }
-
-// Events returns the recorded events in emission order (not a copy).
-func (s *SliceSink) Events() []Event { return s.events }
+type SliceSink = SliceSinkOf[Event]
 
 // CountSink counts events by kind and by component without storing them.
 type CountSink struct {
@@ -521,37 +431,22 @@ type jsonlRecord struct {
 	Pa   int64  `json:"pa"`
 }
 
-// ParseJSONL reads a JSONL trace back into events. Blank lines are
-// skipped; an unknown kind or malformed line is an error.
+// ParseJSONL reads a JSONL trace back into events. The parser is strict
+// (see ReadJSONL): unknown fields, unknown kinds, trailing data and
+// malformed lines are errors, and re-encoding its output reproduces a
+// canonical trace byte-for-byte. Blank lines are skipped.
 func ParseJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec jsonlRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %v", line, err)
-		}
+	return ReadJSONL(r, "obs: trace", func(rec jsonlRecord) (Event, error) {
 		k, ok := ParseKind(rec.Kind)
 		if !ok {
-			return nil, fmt.Errorf("obs: trace line %d: unknown kind %q", line, rec.Kind)
+			return Event{}, fmt.Errorf("unknown kind %q", rec.Kind)
 		}
-		out = append(out, Event{
+		return Event{
 			T: sim.Time(rec.T), Kind: k, Comp: rec.Comp, Aux: rec.Aux,
 			V1: rec.V1, V2: rec.V2,
 			Trace: rec.Tr, Span: rec.Sp, Parent: rec.Pa,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // ---------------------------------------------------------------------

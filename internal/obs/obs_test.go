@@ -158,6 +158,20 @@ func TestParseJSONLRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+func TestParseJSONLRejects(t *testing.T) {
+	cases := map[string]string{
+		"unknown field": `{"t":0,"kind":"mark","comp":"","aux":"","v1":0,"v2":0,"extra":1}`,
+		"trailing data": `{"t":0,"kind":"mark","comp":"","aux":"","v1":0,"v2":0} {"t":1}`,
+		"unknown kind":  `{"t":0,"kind":"nope","comp":"","aux":"","v1":0,"v2":0}`,
+		"missing kind":  `{"t":0,"comp":"","aux":"","v1":0,"v2":0}`,
+	}
+	for name, line := range cases {
+		if _, err := ParseJSONL(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s: parse accepted %s", name, line)
+		}
+	}
+}
+
 func TestKindNamesRoundTrip(t *testing.T) {
 	for _, k := range Kinds() {
 		got, ok := ParseKind(k.String())

@@ -38,7 +38,7 @@ func (sc SpanContext) Valid() bool { return sc.Trace != 0 }
 // recorder is nil or span tracing is disabled — callers can propagate the
 // result unconditionally.
 func (r *Recorder) StartSpan(comp, name string, parent SpanContext) SpanContext {
-	if r == nil || r.mask&(1<<uint(KindSpanBegin)) == 0 {
+	if !r.On(KindSpanBegin) {
 		return SpanContext{}
 	}
 	r.nextSpan++
@@ -51,27 +51,27 @@ func (r *Recorder) StartSpan(comp, name string, parent SpanContext) SpanContext 
 		r.nextTrace++
 		sc.Trace = r.nextTrace
 	}
-	r.emitSpan(KindSpanBegin, comp, name, 0, sc.Trace, sc.Span, pa)
+	r.bus.publish(Event{T: r.bus.now(), Kind: KindSpanBegin, Comp: comp, Aux: name, Trace: sc.Trace, Span: sc.Span, Parent: pa})
 	return sc
 }
 
 // EndSpan closes a span normally with the given status (0 = ok). No-op
 // for the zero context.
 func (r *Recorder) EndSpan(comp string, sc SpanContext, status int64) {
-	if r == nil || !sc.Valid() || r.mask&(1<<uint(KindSpanEnd)) == 0 {
+	if !sc.Valid() || !r.On(KindSpanEnd) {
 		return
 	}
-	r.emitSpan(KindSpanEnd, comp, "", status, sc.Trace, sc.Span, 0)
+	r.bus.publish(Event{T: r.bus.now(), Kind: KindSpanEnd, Comp: comp, V1: status, Trace: sc.Trace, Span: sc.Span})
 }
 
 // OrphanSpan terminates a span that can never complete because a crash
 // interrupted it; reason conventionally starts with "crash:". No-op for
 // the zero context.
 func (r *Recorder) OrphanSpan(comp string, sc SpanContext, reason string) {
-	if r == nil || !sc.Valid() || r.mask&(1<<uint(KindSpanOrphan)) == 0 {
+	if !sc.Valid() || !r.On(KindSpanOrphan) {
 		return
 	}
-	r.emitSpan(KindSpanOrphan, comp, reason, 0, sc.Trace, sc.Span, 0)
+	r.bus.publish(Event{T: r.bus.now(), Kind: KindSpanOrphan, Comp: comp, Aux: reason, Trace: sc.Trace, Span: sc.Span})
 }
 
 // LinkSpan records a causal edge from span `from` (the successor, e.g. a
@@ -79,10 +79,10 @@ func (r *Recorder) OrphanSpan(comp string, sc SpanContext, reason string) {
 // recovery episode that made the retry possible). kind names the edge:
 // "retry-of", "recovered-by". No-op unless both contexts are valid.
 func (r *Recorder) LinkSpan(comp string, from, to SpanContext, kind string) {
-	if r == nil || !from.Valid() || !to.Valid() || r.mask&(1<<uint(KindSpanLink)) == 0 {
+	if !from.Valid() || !to.Valid() || !r.On(KindSpanLink) {
 		return
 	}
-	r.emitSpan(KindSpanLink, comp, kind, 0, from.Trace, from.Span, to.Span)
+	r.bus.publish(Event{T: r.bus.now(), Kind: KindSpanLink, Comp: comp, Aux: kind, Trace: from.Trace, Span: from.Span, Parent: to.Span})
 }
 
 // ---------------------------------------------------------------------

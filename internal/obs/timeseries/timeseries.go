@@ -208,9 +208,7 @@ func (s *Sampler) openSegment(label string, start sim.Time) {
 	s.rebase()
 	s.resetWindowState()
 	s.overAnn = nil
-	for k := range s.overKind {
-		delete(s.overKind, k)
-	}
+	clear(s.overKind)
 	if s.env != nil {
 		s.ticker = s.env.Tick(s.width, s.rollover)
 	}
@@ -218,16 +216,12 @@ func (s *Sampler) openSegment(label string, start sim.Time) {
 
 // rebase re-snapshots every counter as the new delta baseline.
 func (s *Sampler) rebase() {
-	for k := range s.base {
-		delete(s.base, k)
-	}
+	clear(s.base)
 	s.cfg.Registry.VisitCounters(func(name string, v int64) { s.base[name] = v })
 }
 
 func (s *Sampler) resetWindowState() {
-	for k := range s.kinds {
-		delete(s.kinds, k)
-	}
+	clear(s.kinds)
 	s.anns = nil
 	// Events that arrived stamped on the boundary open the new window.
 	for k, n := range s.overKind {
@@ -367,77 +361,6 @@ func sortedKinds(m map[obs.Kind]int) []obs.Kind {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ---------------------------------------------------------------------
-// Offline binning
-
-// BinEvents bins a recorded trace into fixed-width windows — the offline
-// counterpart of a live Sampler, for traces captured without one. The
-// trace is split at marks via obs.Segments exactly as Timeline does; a
-// mark-opened segment starts at the mark's timestamp, the leading
-// mark-less segment at virtual time 0. Windows are contiguous from index
-// 0 through the last event's window; all are full width (an offline
-// trace does not know where the run ended). Counter deltas and status
-// are unavailable offline; Kinds and Annotations are filled.
-func BinEvents(events []obs.Event, width sim.Time, annotate []obs.Kind) []Segment {
-	if width <= 0 {
-		width = DefaultWindow
-	}
-	if annotate == nil {
-		annotate = DefaultAnnotate
-	}
-	ann := make(map[obs.Kind]bool, len(annotate))
-	for _, k := range annotate {
-		ann[k] = true
-	}
-	var out []Segment
-	for _, evs := range obs.Segments(events) {
-		if len(evs) == 0 {
-			continue
-		}
-		seg := Segment{}
-		if evs[0].Kind == obs.KindMark {
-			seg.Label = evs[0].Aux
-			seg.Start = evs[0].T
-			evs = evs[1:]
-		}
-		if len(evs) == 0 {
-			out = append(out, seg)
-			continue
-		}
-		last := int((evs[len(evs)-1].T - seg.Start) / width)
-		for i := 0; i <= last; i++ {
-			seg.Windows = append(seg.Windows, Window{
-				Index: i,
-				Start: seg.Start + sim.Time(i)*width,
-				End:   seg.Start + sim.Time(i+1)*width,
-				Full:  true,
-			})
-		}
-		kinds := make([]map[obs.Kind]int, last+1)
-		for _, e := range evs {
-			i := int((e.T - seg.Start) / width)
-			if i < 0 || i > last {
-				continue // clock went backwards; Validate flags the series source
-			}
-			if kinds[i] == nil {
-				kinds[i] = make(map[obs.Kind]int)
-			}
-			kinds[i][e.Kind]++
-			if ann[e.Kind] {
-				seg.Windows[i].Annotations = append(seg.Windows[i].Annotations,
-					Annotation{T: e.T, Kind: e.Kind, Comp: e.Comp, Aux: e.Aux})
-			}
-		}
-		for i, m := range kinds {
-			for _, k := range sortedKinds(m) {
-				seg.Windows[i].Kinds = append(seg.Windows[i].Kinds, KindCount{Kind: k, N: m[k]})
-			}
-		}
-		out = append(out, seg)
-	}
 	return out
 }
 

@@ -98,6 +98,18 @@ func (in *Interp) VarState() string {
 // exceeds it is defective itself.
 const stepLimit = 100_000
 
+// valueLimit bounds what a script can grow from step to step — a
+// variable's value, a pipe's buffered output — so a runaway loop such as
+// x=$x$x fails with an error long before it exhausts host memory.
+const valueLimit = 64 << 10
+
+func checkValue(what string, n int) error {
+	if n > valueLimit {
+		return fmt.Errorf("policy: %s exceeds %d bytes", what, valueLimit)
+	}
+	return nil
+}
+
 // NewInterp creates an interpreter.
 func NewInterp(opts ...Option) *Interp {
 	in := &Interp{
@@ -330,6 +342,11 @@ func (in *Interp) execNode(n node, stdin string, out *strings.Builder) error {
 		return nil
 	case *whileNode:
 		for {
+			// Each iteration is a step of its own: an empty condition
+			// and body (while ;do;done) would otherwise spin forever.
+			if err := in.step(); err != nil {
+				return err
+			}
 			if err := in.execList(n.cond); err != nil {
 				return err
 			}
@@ -384,6 +401,9 @@ func (in *Interp) execSimple(n *simpleNode, stdin string, out *strings.Builder) 
 	// Assignments.
 	for _, a := range n.assigns {
 		val, err := in.expandOne(a.value)
+		if err == nil {
+			err = checkValue("value of "+a.name, len(val))
+		}
 		if err != nil {
 			return err
 		}
@@ -423,6 +443,9 @@ func (in *Interp) execSimple(n *simpleNode, stdin string, out *strings.Builder) 
 	if stdout != "" {
 		if out != nil {
 			out.WriteString(stdout)
+			if err := checkValue("piped output", out.Len()); err != nil {
+				return err
+			}
 		} else {
 			io.WriteString(in.stdout, stdout)
 		}
